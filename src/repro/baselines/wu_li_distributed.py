@@ -141,7 +141,6 @@ def wu_li_distributed(
     registry=None,
     transport=None,
     sim: Optional[SimConfig] = None,
-    **legacy,
 ) -> Tuple[Set[Hashable], SimStats]:
     """Run the protocol; returns ``(CDS, stats)``.
 
@@ -149,10 +148,7 @@ def wu_li_distributed(
     mark-free graphs like cliques) exactly as the centralized version
     does, so the result is always a CDS of a connected graph.
     """
-    config = merge_entry_args(
-        sim, seed=seed, transport=transport, legacy=legacy,
-        where="wu_li_distributed",
-    )
+    config = merge_entry_args(sim, seed=seed, transport=transport)
     if graph.num_nodes == 0:
         raise ValueError("CDS of an empty graph is undefined")
     if not is_connected(graph):

@@ -1,8 +1,9 @@
 """S-rules — spawn/shared-memory safety at the worker boundary.
 
-The sharded serving path (:mod:`repro.shard.pool`) runs spawn workers
-over a :class:`~repro.shard.pool.SharedPositions` shared-memory block.
-That boundary has hazard classes the D-rules cannot see:
+The spawn-worker runtime (:mod:`repro.runtime`) runs the fleet runner's
+and the shard pool's workers over a
+:class:`~repro.runtime.SharedPositions` shared-memory block.  That
+boundary has hazard classes the D-rules cannot see:
 
 * **S1** — unpicklable values handed across the ``Process`` boundary
   (lambdas, locks, open file handles, live ``Tracer``/registry
@@ -18,9 +19,13 @@ That boundary has hazard classes the D-rules cannot see:
   are invisible there and the two copies silently diverge.
 
 "Worker functions" are the module-level functions named as a
-``Process(target=...)`` plus everything they transitively call in the
-same module.  The analysis is module-local and shape-based, in the
-spirit of :mod:`repro.check.rules.common`.
+``Process(target=...)`` or registered as a handler in a runtime op
+table (a module-level dict named ``*_OPS``), plus everything they
+transitively call in the same module.  What crosses the boundary is
+every ``Process(...)`` keyword but ``target``, and the worker arguments
+of a runtime ``start_workers(graph, count, ops, *args)`` call.  The
+analysis is module-local and shape-based, in the spirit of
+:mod:`repro.check.rules.common`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,11 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.check.rules import base, common
 from repro.check.violations import Violation
 
-SHARD_SCOPE = ("src/repro/shard/",)
+SHARD_SCOPE = (
+    "src/repro/shard/",
+    "src/repro/runtime.py",
+    "src/repro/sim/fleet.py",
+)
 
 #: Constructors whose instances do not survive pickling (or pickle into
 #: divergent copies): synchronization primitives, handles, and this
@@ -90,6 +99,44 @@ def _process_calls(tree: ast.AST) -> Iterator[ast.Call]:
             yield node
 
 
+def _boundary_values(tree: ast.AST) -> Iterator[ast.AST]:
+    """Values a spawn start pickles into the worker."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = common.call_name(node)
+        if name == "Process":
+            values = [kw.value for kw in node.keywords if kw.arg != "target"]
+        elif name == "start_workers":
+            values = list(node.args[3:])
+        else:
+            continue
+        for value in values:
+            if isinstance(value, (ast.Tuple, ast.List)):
+                yield from value.elts
+            else:
+                yield value
+
+
+def _op_table_handlers(tree: ast.AST) -> Iterator[str]:
+    """Handlers registered in a module-level ``*_OPS`` op table."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target, value = node.target, node.value
+        else:
+            continue
+        if (
+            isinstance(target, ast.Name)
+            and target.id.endswith("_OPS")
+            and isinstance(value, ast.Dict)
+        ):
+            for handler in value.values:
+                if isinstance(handler, ast.Name):
+                    yield handler.id
+
+
 def _module_functions(tree: ast.AST) -> Dict[str, ast.FunctionDef]:
     return {
         node.name: node
@@ -99,9 +146,10 @@ def _module_functions(tree: ast.AST) -> Dict[str, ast.FunctionDef]:
 
 
 def worker_functions(tree: ast.AST) -> Dict[str, ast.FunctionDef]:
-    """Module-level functions reachable from a ``Process(target=...)``."""
+    """Module-level functions reachable from a ``Process(target=...)``
+    or a runtime op table."""
     functions = _module_functions(tree)
-    roots: List[str] = []
+    roots: List[str] = list(_op_table_handlers(tree))
     for call in _process_calls(tree):
         for kw in call.keywords:
             if kw.arg == "target" and isinstance(kw.value, ast.Name):
@@ -130,28 +178,19 @@ class UnpicklableCaptureRule(base.Rule):
     scope = SHARD_SCOPE
 
     def check(self, module: base.ModuleSource) -> Iterator[Violation]:
-        for call in _process_calls(module.tree):
-            for kw in call.keywords:
-                if kw.arg == "target":
-                    continue
-                values: List[ast.AST] = (
-                    list(kw.value.elts)
-                    if isinstance(kw.value, (ast.Tuple, ast.List))
-                    else [kw.value]
-                )
-                for value in values:
-                    reason = _unpicklable_reason(value)
-                    if reason is None:
-                        continue
-                    yield self.violation(
-                        module,
-                        value,
-                        f"{reason} crosses the spawn worker boundary; spawn "
-                        "pickles every Process argument and this one does "
-                        "not survive the trip — pass plain data and "
-                        "reconstruct in the worker, or justify with "
-                        "`# repro: noqa[S1]`",
-                    )
+        for value in _boundary_values(module.tree):
+            reason = _unpicklable_reason(value)
+            if reason is None:
+                continue
+            yield self.violation(
+                module,
+                value,
+                f"{reason} crosses the spawn worker boundary; spawn "
+                "pickles every Process argument and this one does "
+                "not survive the trip — pass plain data and "
+                "reconstruct in the worker, or justify with "
+                "`# repro: noqa[S1]`",
+            )
 
 
 def _unpicklable_reason(node: ast.AST) -> Optional[str]:

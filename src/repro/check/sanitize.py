@@ -14,8 +14,8 @@ ASan-style, each side catches what the other proves:
 
 The second half of the harness guards the spawn boundary: with the
 sanitizer armed (the ``REPRO_SANITIZE`` environment variable, inherited
-by spawn children), :func:`repro.shard.pool._worker_main` flips its
-view of the :class:`~repro.shard.pool.SharedPositions` array to
+by spawn children), every :mod:`repro.runtime` worker flips its
+view of the :class:`~repro.runtime.SharedPositions` array to
 ``writeable=False`` — the S2 contract ("workers never write the shared
 block") becomes an immediate ``ValueError`` at any violating store.
 

@@ -22,8 +22,7 @@ the message delays — which the property tests check against
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Hashable, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Mapping, Optional, Set
 
 from repro.graphs.graph import Graph
 from repro.mis.ranking import Rank, id_ranking, validate_ranking
@@ -31,7 +30,6 @@ from repro.sim.config import SimConfig, merge_entry_args
 from repro.sim.batched import make_simulator
 from repro.sim.messages import Message
 from repro.sim.node import NodeContext, ProtocolNode
-from repro.sim.stats import SimStats
 
 BLACK = "BLACK"
 GRAY = "GRAY"
@@ -149,7 +147,7 @@ def run_mis(
     """
     from repro.wcds.base import BackboneResult
 
-    config = merge_entry_args(sim, seed=seed, transport=transport, where="run_mis")
+    config = merge_entry_args(sim, seed=seed, transport=transport)
     if ranking is None:
         ranking = id_ranking(graph)
     if not config.faulty:
@@ -180,29 +178,3 @@ def run_mis(
         algorithm="mis",
         meta=meta,
     )
-
-
-def distributed_mis(
-    graph: Graph,
-    ranking: Optional[Mapping[Hashable, Rank]] = None,
-    *,
-    latency=None,
-    seed: Optional[int] = None,
-    registry=None,
-) -> Tuple[Set[Hashable], SimStats]:
-    """Deprecated shim: old ``(MIS, stats)`` tuple signature.
-
-    Use :func:`run_mis` (or ``repro.backbone.build("mis", ...)``); it
-    returns a :class:`~repro.wcds.base.BackboneResult`.
-    """
-    warnings.warn(
-        "distributed_mis() is deprecated; use run_mis() which returns a "
-        "BackboneResult (stats are in result.meta['stats'])",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = run_mis(
-        graph, ranking, seed=seed, registry=registry,
-        sim=SimConfig(latency=latency),
-    )
-    return set(result.dominators), result.meta["stats"]

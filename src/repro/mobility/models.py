@@ -46,7 +46,11 @@ def _clamp_reflect(value: float, limit: float) -> Tuple[float, bool]:
 
 
 class RandomDirectionModel:
-    """Straight-line travel with boundary reflection."""
+    """Straight-line travel with boundary reflection.
+
+    A node that joins after construction draws its speed and heading
+    from the model's RNG on its first :meth:`step`.
+    """
 
     def __init__(
         self,
@@ -59,6 +63,7 @@ class RandomDirectionModel:
             raise ValueError("need 0 < min_speed <= max_speed")
         self.udg = udg
         self.side = side
+        self.speed_range = speed_range
         self._rng = random.Random(seed)
         self._speed: Dict[Hashable, float] = {
             node: self._rng.uniform(*speed_range) for node in udg.nodes()
@@ -72,6 +77,9 @@ class RandomDirectionModel:
         gained: List[Tuple[Hashable, Hashable]] = []
         lost: List[Tuple[Hashable, Hashable]] = []
         for node in list(self.udg.nodes()):
+            if node not in self._speed:
+                self._speed[node] = self._rng.uniform(*self.speed_range)
+                self._heading[node] = self._rng.uniform(0.0, 2.0 * math.pi)
             pos = self.udg.positions[node]
             travel = self._speed[node] * dt
             x = pos.x + travel * math.cos(self._heading[node])
@@ -92,6 +100,8 @@ class GaussMarkovModel:
     speed_t = α·speed_{t-1} + (1-α)·mean + sqrt(1-α²)·noise, and the
     same recurrence for the heading.  ``alpha`` in [0, 1): 0 is
     memoryless, values near 1 give smooth, persistent trajectories.
+    A node that joins after construction starts at the mean speed with
+    a heading from the model's RNG on its first :meth:`step`.
     """
 
     def __init__(
@@ -143,6 +153,9 @@ class GaussMarkovModel:
         gained: List[Tuple[Hashable, Hashable]] = []
         lost: List[Tuple[Hashable, Hashable]] = []
         for node in list(self.udg.nodes()):
+            if node not in self._speed:
+                self._speed[node] = self.mean_speed
+                self._heading[node] = self._rng.uniform(0.0, 2.0 * math.pi)
             self._evolve(node)
             pos = self.udg.positions[node]
             travel = self._speed[node] * dt

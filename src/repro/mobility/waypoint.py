@@ -42,7 +42,12 @@ class LinkEvents:
 
 
 class RandomWaypointModel:
-    """Moves the nodes of a :class:`UnitDiskGraph` in place."""
+    """Moves the nodes of a :class:`UnitDiskGraph` in place.
+
+    A node added to the graph after construction gets its speed and
+    first waypoint from the model's RNG the first time :meth:`step`
+    sees it; nodes that already have state keep their trajectories.
+    """
 
     def __init__(
         self,
@@ -57,6 +62,7 @@ class RandomWaypointModel:
         self.udg = udg
         self.side = side
         self.pause_steps = pause_steps
+        self.speed_range = speed_range
         self._rng = random.Random(seed)
         self._speed: Dict[Hashable, float] = {
             node: self._rng.uniform(*speed_range) for node in udg.nodes()
@@ -71,11 +77,19 @@ class RandomWaypointModel:
             self._rng.uniform(0.0, self.side), self._rng.uniform(0.0, self.side)
         )
 
+    def _join(self, node: Hashable) -> None:
+        """State for a node that joined after construction."""
+        self._speed[node] = self._rng.uniform(*self.speed_range)
+        self._target[node] = self._pick_waypoint()
+        self._pause_left[node] = 0
+
     def step(self, dt: float = 1.0) -> LinkEvents:
         """Advance every node by ``dt`` time units; return link events."""
         gained: List[Tuple[Hashable, Hashable]] = []
         lost: List[Tuple[Hashable, Hashable]] = []
         for node in list(self.udg.nodes()):
+            if node not in self._speed:
+                self._join(node)
             if self._pause_left[node] > 0:
                 self._pause_left[node] -= 1
                 continue

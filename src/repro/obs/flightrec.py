@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional
 
 #: Event kinds that trigger an immediate dump by default.
 DEFAULT_DUMP_ON = frozenset(
@@ -158,13 +158,6 @@ class FlightRecorder:
         self.dumps_written += 1
         self.last_dump = artifact
         return artifact
-
-    def extend(self, entries: Iterable[Dict[str, Any]]) -> None:
-        """Merge entries recorded elsewhere (e.g. a worker's ring that
-        arrived in a telemetry frame) without re-triggering dumps."""
-        for entry in entries:
-            self._ring.append(dict(entry))
-            self.recorded_total += 1
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ that carries them home:
   so frames may arrive in any order from any number of workers.
 * :class:`TelemetryFrame` is the serializable unit a worker ships back
   — its cumulative metric state plus completed spans — piggybacked on
-  ``query_batch`` replies or flushed on demand.
+  every worker reply (:mod:`repro.runtime`) or flushed on demand.
 * :class:`TelemetryHarvest` absorbs frames on the parent side: it
   applies per-child *deltas* into the live parent registry (so the
   fleet-wide counters are exact even though workers resend cumulative
@@ -211,7 +211,6 @@ class TelemetryFrame:
     seq: int
     metrics: State = field(default_factory=empty_snapshot)
     spans: List[Dict[str, Any]] = field(default_factory=list)
-    flight: List[Dict[str, Any]] = field(default_factory=list)
 
     @classmethod
     def capture(
@@ -220,7 +219,6 @@ class TelemetryFrame:
         seq: int,
         registry: Optional[MetricsRegistry] = None,
         spans: Optional[List[Dict[str, Any]]] = None,
-        flight: Optional[List[Dict[str, Any]]] = None,
         ts: Optional[float] = None,
     ) -> "TelemetryFrame":
         """Snapshot the worker's registry (if any) into a frame."""
@@ -232,7 +230,6 @@ class TelemetryFrame:
             seq=seq,
             metrics=metrics,
             spans=list(spans) if spans else [],
-            flight=list(flight) if flight else [],
         )
 
 

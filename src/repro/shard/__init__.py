@@ -19,7 +19,8 @@ subpackage operationalizes that:
 """
 
 from repro.shard.config import MIN_HALO_RADII, ShardConfig
-from repro.shard.pool import SharedPositions, ShardServePool
+from repro.runtime import SharedPositions
+from repro.shard.pool import ShardServePool
 from repro.shard.stitch import (
     ALGORITHM_NAME,
     InvalidationReport,

@@ -11,7 +11,6 @@ configuration protocols run over.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -91,83 +90,21 @@ class SimConfig:
         return replace(self, seed=seed)
 
 
-_LEGACY_SIM_KWARGS = ("latency", "loss_rate", "seed", "max_events")
-
-
-def coerce_sim_config(
-    config: Optional[SimConfig], legacy: Dict[str, Any], where: str
-) -> SimConfig:
-    """Fold deprecated loose kwargs into a :class:`SimConfig`.
-
-    Emits exactly one DeprecationWarning per call regardless of how many
-    legacy kwargs were passed; raises ``TypeError`` for unknown kwargs.
-    """
-    unknown = [k for k in legacy if k not in _LEGACY_SIM_KWARGS]
-    if unknown:
-        raise TypeError(
-            f"{where}() got unexpected keyword arguments {sorted(unknown)!r}"
-        )
-    if not legacy:
-        return config if config is not None else SimConfig()
-    warnings.warn(
-        f"passing {sorted(legacy)!r} to {where}() is deprecated; "
-        "pass a SimConfig instead (e.g. "
-        "SimConfig(latency=..., loss_rate=..., seed=...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if config is None:
-        config = SimConfig()
-    fields = {
-        "latency": config.latency,
-        "loss_rate": config.loss_rate,
-        "seed": config.seed,
-        "max_events": config.max_events,
-    }
-    fields.update(legacy)
-    return SimConfig(
-        latency=fields["latency"],
-        loss_rate=fields["loss_rate"],
-        seed=fields["seed"],
-        max_events=fields["max_events"],
-        fault_plan=config.fault_plan,
-        transport=config.transport,
-        engine=config.engine,
-    )
-
-
 def merge_entry_args(
     sim: Optional[SimConfig],
     *,
     seed: Optional[int] = None,
     transport: Any = None,
-    legacy: Optional[Dict[str, Any]] = None,
-    where: str = "run",
 ) -> SimConfig:
     """Resolve a unified backbone entry point's arguments to a config.
 
     The unified signature is ``run(graph, *, seed=None, tracer=None,
     registry=None, transport=None, sim=None)``: ``seed`` and
     ``transport`` are first-class conveniences that override the
-    corresponding :class:`SimConfig` fields; anything in ``legacy``
-    (e.g. the deprecated ``latency=`` kwarg) warns once and is folded
-    in, with explicit values taking precedence over the config's.
+    corresponding :class:`SimConfig` fields.
     """
-    legacy = dict(legacy or {})
-    unknown = [k for k in legacy if k not in _LEGACY_SIM_KWARGS]
-    if unknown:
-        raise TypeError(
-            f"{where}() got unexpected keyword arguments {sorted(unknown)!r}"
-        )
-    if legacy:
-        warnings.warn(
-            f"passing {sorted(legacy)!r} to {where}() is deprecated; "
-            "pass sim=SimConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
     config = sim if sim is not None else SimConfig()
-    updates: Dict[str, Any] = dict(legacy)
+    updates: Dict[str, Any] = {}
     if seed is not None:
         updates["seed"] = seed
     if transport is not None:

@@ -2,21 +2,13 @@
 
 Monte-Carlo studies (backbone-size distributions, chaos matrices, the
 Theorem 10/12 sweeps) repeat the same protocol on the same topology
-under different seeds.  :class:`FleetRunner` executes such a sweep over
-``spawn`` worker processes while shipping the topology exactly once:
-
-* node positions live in one :class:`~repro.shard.pool.SharedPositions`
-  float64 block; each worker rebuilds the unit-disk graph from the
-  shared rows (float64 is exact, so every worker sees the identical
-  edge set) and keeps it for its whole seed range;
-* trials are small picklable values (:class:`BackboneTrial`,
-  :class:`ChaosTrial`, or any module-level callable with the same
-  signature) — only the trial object and the seed chunk cross the pipe;
-* with a parent-side registry, workers keep a private
-  :class:`~repro.obs.registry.MetricsRegistry` + span recorder and
-  piggyback a :class:`~repro.obs.pipeline.TelemetryFrame` on every
-  reply, exactly the :class:`~repro.shard.pool.ShardServePool`
-  protocol, so fleet totals and stitched traces come for free.
+under different seeds.  :class:`FleetRunner` runs such a sweep on the
+spawn-worker runtime (:mod:`repro.runtime`): each worker rebuilds the
+unit-disk graph once from the shared position rows (float64 is exact,
+so every worker sees the identical edge set), and only the picklable
+trial (:class:`BackboneTrial`, :class:`ChaosTrial`, or any
+module-level callable with the same signature) and a seed chunk cross
+the pipe.  The fleet itself only chunks seeds and reassembles rows.
 
 ``workers=0`` runs the same trials inline in the parent — the
 deterministic baseline the tests compare worker rows against (the rows
@@ -25,7 +17,6 @@ are identical: each trial reseeds everything from its seed argument).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from typing import (
@@ -37,20 +28,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro.graphs.graph import canonical_order
 from repro.graphs.udg import UnitDiskGraph
-from repro.kernels._compat import require_numpy
-from repro.obs.pipeline import (
-    SpanRecorder,
-    TelemetryFrame,
-    TelemetryHarvest,
-    TraceContext,
-    TraceStitcher,
-)
-from repro.shard.pool import SharedPositions
+from repro.obs.pipeline import TraceContext
+from repro.runtime import OpTable, Worker, WorkerPool
 
 __all__ = [
     "BackboneTrial",
@@ -140,38 +123,17 @@ class ChaosTrial:
         }
 
 
-class _FleetTelemetry:
-    """Worker-private registry + spans, frame-per-reply (pool protocol)."""
-
-    def __init__(self, label: str) -> None:
-        from repro.obs.registry import MetricsRegistry
-
-        self.label = label
-        self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(label)
-        self.seq = 0
-        self.trials = self.registry.counter(
-            "fleet_trials_total", "seeded trials executed"
-        )
-
-    def frame(self) -> TelemetryFrame:
-        self.seq += 1
-        return TelemetryFrame.capture(
-            self.label, self.seq, self.registry, spans=self.spans.drain()
-        )
-
-
-def _rebuild_graph(
-    shared: SharedPositions, radius: float, node_ids: Sequence[Hashable]
+def _init(
+    worker: Worker, radius: float, node_ids: Sequence[Hashable]
 ) -> UnitDiskGraph:
-    """Reconstruct the parent's graph from shared position rows.
+    """Rebuild the parent's graph once from the shared position rows.
 
     Row ``i`` is ``node_ids[i]``; float64 round-trips exactly, so the
     rebuilt unit-disk edge set is identical to the parent's.
     """
     from repro.geometry.point import Point
 
-    rows = shared.array
+    rows = worker.shared.array
     positions = {
         node: Point(float(rows[i, 0]), float(rows[i, 1]))
         for i, node in enumerate(node_ids)
@@ -179,56 +141,25 @@ def _rebuild_graph(
     return UnitDiskGraph(positions, radius=radius)
 
 
-def _fleet_worker(
-    conn: Any,
-    shared: SharedPositions,
-    radius: float,
-    node_ids: Sequence[Hashable],
-    label: str = "f?",
-    telemetry: bool = False,
-) -> None:
-    """Worker loop: rebuild the graph once, then run seed chunks.
+def _sweep(
+    worker: Worker,
+    graph: UnitDiskGraph,
+    trial: FleetTrial,
+    seeds: Sequence[int],
+    ctx: Optional[TraceContext],
+) -> List[Mapping[str, float]]:
+    """Run one seed chunk on the worker's graph."""
+    with worker.span("fleet.run_chunk", ctx, seeds=len(seeds)):
+        rows = [trial(graph, seed) for seed in seeds]
+    if worker.registry is not None:
+        worker.registry.counter(
+            "fleet_trials_total", "seeded trials executed"
+        ).inc(len(rows))
+    return rows
 
-    Module-level so ``spawn`` can import it.  Message protocol mirrors
-    the shard pool: ``("run", trial, seeds, ctx)`` →
-    ``("rows", rows, frame|None)``; ``("close",)`` →
-    ``("bye", frame|None)``.
-    """
-    from repro.check.sanitize import sanitizer_enabled
 
-    if sanitizer_enabled():
-        shared.protect()
-    tel = _FleetTelemetry(label) if telemetry else None
-    graph = _rebuild_graph(shared, radius, node_ids)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            # Parent vanished: exit quietly, like the shard workers.
-            return
-        kind = message[0]
-        if kind == "run":
-            _, trial, seeds, ctx = message
-            rows: List[Mapping[str, float]] = []
-            if tel is not None:
-                with tel.spans.span(
-                    "fleet.run_chunk", parent=ctx, seeds=len(seeds)
-                ):
-                    for seed in seeds:
-                        rows.append(trial(graph, seed))
-                        tel.trials.inc()
-                conn.send(("rows", rows, tel.frame()))
-            else:
-                for seed in seeds:
-                    rows.append(trial(graph, seed))
-                conn.send(("rows", rows, None))
-        elif kind == "close":
-            conn.send(("bye", tel.frame() if tel is not None else None))
-            break
-        else:  # pragma: no cover - protocol error
-            raise ValueError(f"unknown message {kind!r}")
-    shared.close()
-    conn.close()
+#: The fleet worker's op table (see :mod:`repro.runtime`).
+FLEET_OPS: OpTable = {"init": _init, "sweep": _sweep}
 
 
 def _default_workers() -> int:
@@ -236,7 +167,7 @@ def _default_workers() -> int:
     return max(1, min(cpus - 1, 8))
 
 
-class FleetRunner:
+class FleetRunner(WorkerPool):
     """Execute seeded trials across spawn workers on one shared topology.
 
     ``workers=None`` sizes the fleet from the CPU count; ``workers=0``
@@ -245,6 +176,10 @@ class FleetRunner:
     stitches worker spans (``export_trace``), like the shard pool.
     """
 
+    prefix = "fleet"
+    noun = "fleet"
+    label = "f"
+
     def __init__(
         self,
         graph: UnitDiskGraph,
@@ -252,58 +187,17 @@ class FleetRunner:
         workers: Optional[int] = None,
         registry: Any = None,
     ) -> None:
+        super().__init__(registry)
         self.graph = graph
         self.workers = _default_workers() if workers is None else workers
-        self.registry = registry
-        self.telemetry = registry is not None
-        self.harvest: Optional[TelemetryHarvest] = (
-            TelemetryHarvest(registry) if self.telemetry else None
-        )
-        self.stitcher: Optional[TraceStitcher] = (
-            TraceStitcher() if self.telemetry else None
-        )
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder("parent") if self.telemetry else None
-        )
-        self.shared: Optional[SharedPositions] = None
-        self._procs: List[Tuple[Any, Any]] = []
         if self.workers > 0:
-            self._start_workers()
-
-    def _start_workers(self) -> None:
-        require_numpy()
-        ctx = multiprocessing.get_context("spawn")
-        node_ids = canonical_order(self.graph.positions)
-        self.shared = SharedPositions.create(
-            [
-                (self.graph.positions[n].x, self.graph.positions[n].y)
-                for n in node_ids
-            ]
-        )
-        for i in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_fleet_worker,
-                args=(
-                    child_conn,
-                    self.shared,
-                    self.graph.radius,
-                    node_ids,
-                    f"f{i}",
-                    self.telemetry,
-                ),
-                daemon=True,
+            self.start_workers(
+                graph,
+                self.workers,
+                FLEET_OPS,
+                graph.radius,
+                canonical_order(graph.positions),
             )
-            process.start()
-            child_conn.close()
-            self._procs.append((process, parent_conn))
-
-    def _absorb(self, frame: Optional[TelemetryFrame]) -> None:
-        if frame is None or self.harvest is None:
-            return
-        self.harvest.absorb(frame)
-        if frame.spans and self.stitcher is not None:
-            self.stitcher.add(frame.spans)
 
     def run(
         self, trial: FleetTrial, seeds: Sequence[int]
@@ -318,7 +212,7 @@ class FleetRunner:
         seed_list = list(seeds)
         if not seed_list:
             raise ValueError("no seeds given")
-        if not self._procs:
+        if not self._workers:
             graph = self.graph
             rows = [trial(graph, seed) for seed in seed_list]
             if self.registry is not None:
@@ -326,93 +220,21 @@ class FleetRunner:
                     "fleet_trials_total", "seeded trials executed"
                 ).inc(len(rows))
             return rows
-        count = len(self._procs)
+        count = len(self._workers)
         chunk = (len(seed_list) + count - 1) // count
         assignments = [
             (i, seed_list[lo : lo + chunk])
             for i, lo in enumerate(range(0, len(seed_list), chunk))
         ]
-        ctx: Optional[TraceContext] = None
-        if self.spans is not None:
-            with self.spans.span(
-                "fleet.dispatch", seeds=len(seed_list), workers=len(assignments)
-            ) as span:
-                ctx = span.context
-                rows = self._scatter_gather(trial, assignments, ctx)
-            if self.stitcher is not None:
-                self.stitcher.add(self.spans.drain())
-        else:
-            rows = self._scatter_gather(trial, assignments, None)
+        rows = []
+        with self._parent_span(
+            "fleet.dispatch", seeds=len(seed_list), workers=len(assignments)
+        ) as ctx:
+            for worker_id, chunk_seeds in assignments:
+                self._send(worker_id, "sweep", trial, chunk_seeds, ctx)
+            for worker_id, _ in assignments:
+                rows.extend(self._recv(worker_id, "sweep"))
         return rows
-
-    def _scatter_gather(
-        self,
-        trial: FleetTrial,
-        assignments: Sequence[Tuple[int, List[int]]],
-        ctx: Optional[TraceContext],
-    ) -> List[Mapping[str, float]]:
-        for worker_id, chunk_seeds in assignments:
-            _, conn = self._procs[worker_id]
-            try:
-                conn.send(("run", trial, chunk_seeds, ctx))
-            except (BrokenPipeError, OSError) as exc:
-                raise RuntimeError(
-                    f"fleet worker f{worker_id} died mid-sweep"
-                ) from exc
-        rows: List[Mapping[str, float]] = []
-        for worker_id, chunk_seeds in assignments:
-            process, conn = self._procs[worker_id]
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise RuntimeError(
-                    f"fleet worker f{worker_id} died mid-sweep"
-                ) from exc
-            if reply[0] != "rows":  # pragma: no cover - protocol error
-                raise RuntimeError(f"unexpected worker reply {reply!r}")
-            rows.extend(reply[1])
-            self._absorb(reply[2])
-        return rows
-
-    def merged_telemetry(self) -> Dict[str, Any]:
-        """Latest per-worker metric states merged into one fleet state."""
-        if self.harvest is None:
-            return {"ts": 0.0, "families": {}}
-        return self.harvest.merged()
-
-    def export_trace(self, path: str) -> int:
-        """Write the stitched worker trace as JSONL; returns span count."""
-        if self.stitcher is None:
-            return 0
-        if self.spans is not None:
-            self.stitcher.add(self.spans.drain())
-        return self.stitcher.to_jsonl(path)
-
-    def close(self) -> None:
-        """Stop workers (absorbing final frames), release shared memory."""
-        for process, conn in self._procs:
-            try:
-                conn.send(("close",))
-                reply = conn.recv()
-                if len(reply) > 1:
-                    self._absorb(reply[1])
-            except (BrokenPipeError, EOFError, OSError):  # pragma: no cover
-                pass
-            conn.close()
-            process.join(timeout=10)
-        self._procs = []
-        if self.spans is not None and self.stitcher is not None:
-            self.stitcher.add(self.spans.drain())
-        if self.shared is not None:
-            self.shared.close()
-            self.shared.unlink()
-            self.shared = None
-
-    def __enter__(self) -> "FleetRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
 def run_fleet(

@@ -146,7 +146,6 @@ def _run_level_phase(
     config: Optional[SimConfig] = None,
     *,
     registry=None,
-    **legacy: Any,
 ) -> Tuple[Dict[Hashable, int], SimStats, FrozenSet[Hashable]]:
     """Run phase 2; returns ``(levels, stats, crashed)``.
 
@@ -154,9 +153,7 @@ def _run_level_phase(
     survivors and the COMPLETE-echo barrier is waived (each phase is
     already run to quiescence, which is a stronger barrier).
     """
-    from repro.sim.config import coerce_sim_config
-
-    config = coerce_sim_config(config, legacy, "_run_level_phase")
+    config = config or SimConfig()
     sim = make_simulator(
         graph,
         lambda ctx: LevelCalculationNode(
@@ -192,7 +189,6 @@ def algorithm1_distributed(
     registry=None,
     transport: Any = None,
     sim: Optional[SimConfig] = None,
-    **legacy: Any,
 ) -> BackboneResult:
     """Run the full three-phase distributed Algorithm I.
 
@@ -208,10 +204,7 @@ def algorithm1_distributed(
     per-phase ``protocol_phase_messages_total`` /
     ``protocol_phase_rounds_total``.
     """
-    config = merge_entry_args(
-        sim, seed=seed, transport=transport, legacy=legacy,
-        where="algorithm1_distributed",
-    )
+    config = merge_entry_args(sim, seed=seed, transport=transport)
     plan = config.fault_plan
     if tracer is None:
         tracer = get_tracer()

@@ -275,7 +275,6 @@ def algorithm2_distributed(
     registry=None,
     transport: Any = None,
     sim: Optional[SimConfig] = None,
-    **legacy: Any,
 ) -> BackboneResult:
     """Run the full Algorithm II protocol to quiescence.
 
@@ -290,10 +289,7 @@ def algorithm2_distributed(
     message counts and simulated-time windows, not wall-clock slices),
     and a ``registry`` receives per-kind and per-phase counters.
     """
-    config = merge_entry_args(
-        sim, seed=seed, transport=transport, legacy=legacy,
-        where="algorithm2_distributed",
-    )
+    config = merge_entry_args(sim, seed=seed, transport=transport)
     if graph.num_nodes == 0:
         raise ValueError("Algorithm II requires a non-empty graph")
     if not is_connected(graph):

@@ -1,13 +1,14 @@
-"""The unified backbone API and its deprecation shims.
+"""The unified backbone API and the end of its deprecation shims.
 
 Two promises are pinned here:
 
 * every backbone construction is reachable through
   ``repro.backbone.build(name, graph, ...)`` and returns a
   :class:`BackboneResult`; and
-* every pre-redesign signature still works but emits exactly one
-  ``DeprecationWarning`` — while no *internal* call site does (the
-  whole test suite runs with ``error::DeprecationWarning``).
+* the pre-redesign loose ``latency=``/``loss_rate=`` kwargs and the
+  ``distributed_mis`` tuple shim are gone: the old signatures raise
+  ``TypeError``, and the unified ones emit no ``DeprecationWarning``
+  (the whole test suite runs with ``error::DeprecationWarning``).
 """
 
 import warnings
@@ -23,9 +24,13 @@ from repro.backbone import (
     get,
     names,
 )
+from repro.baselines import wu_li_distributed
+from repro.election import converge_cast, elect_leader
 from repro.graphs import connected_random_udg, line_udg
+from repro.routing import backbone_protocol, build_routing_tables, flood_protocol
 from repro.sim import SimConfig, UniformLatency
 from repro.sim.stats import SimStats
+from repro.wcds import algorithm1_distributed, algorithm2_distributed
 from repro.wcds.base import WCDSResult
 
 
@@ -127,21 +132,29 @@ class TestCoercion:
             as_backbone_result(42, "bad")
 
 
-def _exactly_one_deprecation(fn):
-    """Run ``fn`` asserting it emits exactly one DeprecationWarning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn()
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1, [str(w.message) for w in caught]
-    return out
+#: Every entry point that used to fold loose ``latency=``-style kwargs
+#: into a SimConfig, called with the given kwargs.
+LOOSE_KWARG_CALLS = {
+    "elect_leader": lambda g, kw: elect_leader(g, **kw),
+    "converge_cast": lambda g, kw: converge_cast(
+        g, {n: 1 for n in g.nodes()}, lambda a, b: a + b, **kw
+    ),
+    "algorithm1_distributed": lambda g, kw: algorithm1_distributed(g, **kw),
+    "algorithm2_distributed": lambda g, kw: algorithm2_distributed(g, **kw),
+    "wu_li_distributed": lambda g, kw: wu_li_distributed(g, **kw),
+    "flood_protocol": lambda g, kw: flood_protocol(g, 0, **kw),
+    "backbone_protocol": lambda g, kw: backbone_protocol(
+        g, algorithm2_distributed(g), 0, **kw
+    ),
+    "build_routing_tables": lambda g, kw: build_routing_tables(
+        g, algorithm2_distributed(g), **kw
+    ),
+}
 
 
 class TestDeprecationShims:
-    """Every old signature works, warns once, and agrees with the new
-    entry point."""
+    """The loose-kwarg shims are gone after their deprecation cycle:
+    the old signatures fail fast, the unified ones stay warning-free."""
 
     def test_simulator_legacy_kwargs_removed(self):
         # The Simulator shim was removed after a deprecation cycle: the
@@ -167,94 +180,21 @@ class TestDeprecationShims:
         with pytest.raises(TypeError):
             run_protocol(g, Quiet, loss_rate=0.0, seed=1)
 
-    def test_elect_leader_latency(self, graph):
-        from repro.election import elect_leader
+    @pytest.mark.parametrize("entry", list(LOOSE_KWARG_CALLS))
+    def test_loose_sim_kwargs_raise(self, graph, entry):
+        with pytest.raises(TypeError, match="latency"):
+            LOOSE_KWARG_CALLS[entry](graph, {"latency": UniformLatency(seed=3)})
 
-        old = _exactly_one_deprecation(
-            lambda: elect_leader(graph, latency=UniformLatency(seed=3))
-        )
-        assert old.leader == elect_leader(graph).leader
+    def test_distributed_mis_removed(self):
+        import repro
+        import repro.mis
 
-    def test_converge_cast_latency(self, graph):
-        from repro.election import converge_cast
-
-        values = {n: 1 for n in graph.nodes()}
-        total, _ = _exactly_one_deprecation(
-            lambda: converge_cast(
-                graph, values, lambda a, b: a + b,
-                latency=UniformLatency(seed=3),
-            )
-        )
-        assert total == graph.num_nodes
-
-    def test_distributed_mis_tuple_shim(self, graph):
-        from repro.mis import distributed_mis, greedy_mis
-
-        mis, stats = _exactly_one_deprecation(lambda: distributed_mis(graph))
-        assert mis == greedy_mis(graph)
-        assert stats.messages_sent == graph.num_nodes
-
-    def test_algorithm1_latency(self, graph):
-        from repro.wcds import algorithm1_distributed
-
-        result = _exactly_one_deprecation(
-            lambda: algorithm1_distributed(graph, latency=UniformLatency(seed=3))
-        )
-        result.validate(graph)
-
-    def test_algorithm2_latency(self, graph):
-        from repro.wcds import algorithm2_distributed
-
-        result = _exactly_one_deprecation(
-            lambda: algorithm2_distributed(graph, latency=UniformLatency(seed=3))
-        )
-        result.validate(graph)
-
-    def test_wu_li_distributed_latency(self, graph):
-        from repro.baselines import wu_li_distributed
-
-        cds, _ = _exactly_one_deprecation(
-            lambda: wu_li_distributed(graph, latency=UniformLatency(seed=3))
-        )
-        assert cds
-
-    def test_flood_protocol_latency(self, graph):
-        from repro.routing import flood_protocol
-
-        outcome, _ = _exactly_one_deprecation(
-            lambda: flood_protocol(graph, 0, latency=UniformLatency(seed=3))
-        )
-        assert outcome.full_coverage
-
-    def test_backbone_protocol_latency(self, graph):
-        from repro.routing import backbone_protocol
-        from repro.wcds import algorithm2_distributed
-
-        result = algorithm2_distributed(graph)
-        outcome, _ = _exactly_one_deprecation(
-            lambda: backbone_protocol(
-                graph, result, 0, latency=UniformLatency(seed=3)
-            )
-        )
-        assert outcome.full_coverage
-
-    def test_build_routing_tables_latency(self, graph):
-        from repro.routing import build_routing_tables
-        from repro.wcds import algorithm2_distributed
-
-        result = algorithm2_distributed(graph)
-        tables, _ = _exactly_one_deprecation(
-            lambda: build_routing_tables(
-                graph, result, latency=UniformLatency(seed=3)
-            )
-        )
-        assert tables
+        assert not hasattr(repro.mis, "distributed_mis")
+        assert "distributed_mis" not in repro.__all__
 
     def test_new_signatures_do_not_warn(self, graph):
         # Redundant with the suite-wide error filter, but explicit:
         # the unified signatures are warning-free.
-        from repro.wcds import algorithm2_distributed
-
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             algorithm2_distributed(

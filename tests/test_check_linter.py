@@ -62,6 +62,16 @@ class TestFixtureCorpus:
         findings = lint_fixture(f"{code.lower()}_clean.py", [code])
         assert findings == [], [v.format() for v in findings]
 
+    @pytest.mark.parametrize("code", ["S1", "S2"])
+    def test_runtime_op_table_modules_are_checked(self, code):
+        # Modules with no Process call of their own: the handlers of a
+        # ``*_OPS`` table run in spawn workers all the same, and the
+        # worker arguments of ``start_workers`` cross the boundary.
+        stem = os.path.join("runtime", code.lower())
+        flagged = lint_fixture(f"{stem}_flagged.py", [code])
+        assert [v.rule for v in flagged] == [code]
+        assert lint_fixture(f"{stem}_clean.py", [code]) == []
+
     def test_no_cross_rule_contamination(self):
         # Running every rule over the corpus only ever flags each
         # fixture with its own rule.

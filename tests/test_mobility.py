@@ -3,12 +3,15 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.geometry.point import Point
 from repro.graphs import connected_random_udg, is_connected
 from repro.mis import is_dominating_set, is_independent_set
 from repro.mobility import (
+    GaussMarkovModel,
     LinkEvents,
     MaintainedWCDS,
     MaintenanceReport,
+    RandomDirectionModel,
     RandomWaypointModel,
 )
 
@@ -21,6 +24,27 @@ class TestLinkEvents:
         assert events.endpoints == {1, 2, 3, 4, 5}
         assert not events.is_empty
         assert LinkEvents(gained=(), lost=()).is_empty
+
+
+MODELS = {
+    "waypoint": RandomWaypointModel,
+    "direction": RandomDirectionModel,
+    "gauss-markov": GaussMarkovModel,
+}
+
+
+class TestJoinedNodes:
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_step_moves_a_node_added_after_construction(self, name):
+        g = connected_random_udg(20, 4.0, seed=8)
+        model = MODELS[name](g, 4.0, seed=8)
+        start = Point(2.0, 2.0)
+        g.add_node_at(999, start)
+        for _ in range(5):
+            model.step()
+        moved = g.positions[999]
+        assert moved != start
+        assert 0.0 <= moved.x <= 4.0 and 0.0 <= moved.y <= 4.0
 
 
 class TestRandomWaypoint:

@@ -74,13 +74,6 @@ class TestDump:
         assert recorder.last_dump is artifact
         assert recorder.dumps_written == 1
 
-    def test_extend_merges_foreign_entries_without_triggering(self, tmp_path):
-        path = tmp_path / "dump.json"
-        recorder = FlightRecorder(dump_path=str(path), clock=lambda: 0.0)
-        recorder.extend([{"ts": 0.0, "kind": "worker_death", "worker": "w1"}])
-        assert not path.exists()
-        assert recorder.recorded_total == 1
-
 
 class TestGlobalHook:
     def test_noop_without_recorder(self):

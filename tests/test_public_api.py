@@ -37,6 +37,7 @@ SUBPACKAGES = [
     "repro.sim",
     "repro.sim.batched",
     "repro.sim.fleet",
+    "repro.runtime",
     "repro.election",
     "repro.mis",
     "repro.wcds",

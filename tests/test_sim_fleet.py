@@ -121,7 +121,7 @@ class TestLifecycle:
     def test_dead_worker_reported(self):
         fleet = FleetRunner(GRAPH, workers=2)
         try:
-            for process, _ in fleet._procs[:1]:
+            for process, _ in fleet._workers[:1]:
                 process.terminate()
                 process.join(timeout=10)
             with pytest.raises(RuntimeError, match="died mid-sweep"):

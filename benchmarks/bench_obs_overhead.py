@@ -15,12 +15,13 @@ worker frame capture, harvest merging, and trace stitching enabled
 must stay within 10% of an identical pool serving dark.
 """
 
+import math
 import os
 
 import pytest
 
 from bench_utils import run_once, show
-from repro.graphs import connected_random_udg
+from repro.graphs import connected_random_udg, perturbed_grid_udg
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.cost import _density_side
 from repro.wcds import algorithm1_distributed
@@ -119,9 +120,11 @@ def _measure_sharded():
     import statistics
 
     from repro.shard import ShardConfig, ShardServePool
-    from repro.shard.bench import jittered_grid
 
-    deployment = jittered_grid(SHARD_N, seed=11)
+    side = math.isqrt(SHARD_N)
+    deployment = perturbed_grid_udg(
+        side, side, spacing=0.55, jitter=0.1 * 0.55, seed=11
+    )
     config = ShardConfig(tile_size=12.0, workers=2, batch_size=128)
     dark = ShardServePool(deployment.copy(), config)
     lit = ShardServePool(

@@ -4,7 +4,8 @@ Four measured claims, each timed once:
 
 1. **Bit identity** — on the n <= 18 corpus the LP-pruned engine
    returns the *same set* (not just size) with ``lp="on"`` and
-   ``lp="off"``, and matches the independent baseline oracle.
+   ``lp="off"`` (tier-1 checks the sizes against a subset enumeration
+   that shares no code with the engine).
 2. **Certified n=60 optima** — the LP-pruned branch & bound closes the
    MDS and WCDS optima exactly at n = 60 on the benchmark density,
    inside the CI time budget.
@@ -24,10 +25,6 @@ import os
 
 from bench_utils import run_once, show
 
-from repro.baselines.exact import (
-    exact_minimum_dominating_set,
-    exact_minimum_wcds,
-)
 from repro.graphs import connected_random_udg
 from repro.mis.properties import is_dominating_set
 from repro.opt import (
@@ -57,17 +54,13 @@ def test_lp_pruning_is_bit_identical_on_the_small_corpus(benchmark):
     def run():
         rows = []
         for index, graph in enumerate(corpus):
-            for problem, baseline in (
-                ("mds", exact_minimum_dominating_set),
-                ("wcds", exact_minimum_wcds),
-            ):
+            for problem in ("mds", "wcds"):
                 with_lp = opt_minimum(graph, problem, lp="on")
                 without = opt_minimum(graph, problem, lp="off")
                 assert with_lp == without, (
                     f"instance {index} {problem}: LP pruning changed the "
                     f"returned set"
                 )
-                assert len(with_lp) == len(baseline(graph))
                 rows.append(
                     {
                         "instance": index,

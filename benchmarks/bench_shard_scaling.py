@@ -3,9 +3,10 @@
 The shard subsystem's reason to exist, asserted here:
 
 * two pool workers serve route queries at **>= 2x** the one-worker
-  throughput (needs >= 2 usable CPUs — skipped otherwise; at the full
-  ``n`` the split replica working set also halves per-process memory
-  pressure, which is where multi-worker serving pays off);
+  throughput (needs >= 3 usable CPUs, one per worker plus one for the
+  dispatching parent — skipped otherwise; at the full ``n`` the split
+  replica working set also halves per-process memory pressure, which
+  is where multi-worker serving pays off);
 * gentle (edge-preserving) interior churn re-stitches only the tiles
   reading the moved node: **zero cascaded tiles**, and at most the
   reading tiles rebuilt per event;
@@ -14,20 +15,90 @@ The shard subsystem's reason to exist, asserted here:
   ``tests/test_shard.py``).
 
 ``SHARD_SCALING_N`` scales the deployment (default 100000, a ~70-tile
-multi-shard instance); CI runs a reduced size.
+multi-shard instance); CI runs a reduced size.  Deployments are
+jittered square grids of ``isqrt(N)**2`` nodes: deterministic for a
+seed, connected by construction (diagonal neighbors stay within the
+radio radius at spacing 0.55 and 10% jitter), with the uniform density
+both the paper's analysis and the tiling assume.
 """
 
+import math
 import os
+import random
+import time
 
 import pytest
 
 from bench_utils import show
-from repro.shard.bench import bench_invalidation, bench_pool, jittered_grid
+from repro.graphs import perturbed_grid_udg
+from repro.shard import ShardConfig, ShardServePool, gentle_moves
 
 N = int(os.environ.get("SHARD_SCALING_N", "100000"))
 TILE_SIZE = 12.0
 SEED = 0
 QUERIES = max(4096, min(16384, N // 8))
+
+
+def _grid_deployment(n, seed):
+    side = math.isqrt(n)
+    return perturbed_grid_udg(
+        side, side, spacing=0.55, jitter=0.1 * 0.55, seed=seed
+    )
+
+
+def _route_workload(pool, seed, count):
+    """Intra-tile route queries: pairs of members of the same tile."""
+    rng = random.Random(seed)
+    tiles = pool.tiler.tiles()
+    queries = []
+    for _ in range(count):
+        tile = tiles[rng.randrange(len(tiles))]
+        owned = pool.tiler.owned(tile)
+        u = owned[rng.randrange(len(owned))]
+        v = owned[rng.randrange(len(owned))]
+        queries.append(("route", u, v))
+    return queries
+
+
+def bench_pool(graph, workers, *, tile_size, queries, batch_size, seed):
+    """Throughput of one pool configuration on the route workload."""
+    config = ShardConfig(
+        tile_size=tile_size, workers=workers, batch_size=batch_size
+    )
+    with ShardServePool(graph, config) as pool:
+        tiles = len(pool.tiler.tiles())
+        workload = _route_workload(pool, seed, queries)
+        started = time.perf_counter()
+        results = pool.query_batch(workload)
+        serve_seconds = time.perf_counter() - started
+    return {
+        "workers": workers,
+        "tiles": tiles,
+        "answered": sum(1 for r in results if r is not None),
+        "throughput_qps": queries / serve_seconds,
+    }
+
+
+def bench_invalidation(graph, *, tile_size, churn_events, seed):
+    """Boundary-only invalidation under gentle interior churn."""
+    config = ShardConfig(tile_size=tile_size, workers=0)
+    with ShardServePool(graph, config) as pool:
+        tiles = len(pool.tiler.tiles())
+        reports = [
+            pool.move(node, target)
+            for node, target in gentle_moves(
+                pool.graph, pool.tiler, seed, churn_events
+            )
+        ]
+    return {
+        "tiles": tiles,
+        "churn_events": len(reports),
+        "tiles_rebuilt": sum(len(r.rebuilt) for r in reports),
+        "tiles_cascaded": sum(len(r.cascaded) for r in reports),
+        "max_tiles_rebuilt_per_event": max(
+            (len(r.rebuilt) for r in reports), default=0
+        ),
+    }
 
 
 def _usable_cpus() -> int:
@@ -39,12 +110,15 @@ def _usable_cpus() -> int:
 
 @pytest.fixture(scope="module")
 def deployment():
-    return jittered_grid(N, seed=SEED)
+    return _grid_deployment(N, seed=SEED)
 
 
 def test_two_workers_double_throughput(benchmark, deployment):
-    if _usable_cpus() < 2:
-        pytest.skip("worker scaling needs >= 2 usable CPUs")
+    if _usable_cpus() < 3:
+        pytest.skip(
+            "worker scaling needs >= 3 usable CPUs (two workers plus the "
+            "dispatching parent)"
+        )
     one = bench_pool(
         deployment, 1, tile_size=TILE_SIZE, queries=QUERIES,
         batch_size=128, seed=SEED,
@@ -59,7 +133,7 @@ def test_two_workers_double_throughput(benchmark, deployment):
     two = benchmark.pedantic(two_workers, rounds=1, iterations=1)
     scaling = two["throughput_qps"] / one["throughput_qps"]
     show(
-        f"Shard pool scaling (n={N}, tile={TILE_SIZE}R)",
+        f"Shard pool scaling (n={deployment.num_nodes}, tile={TILE_SIZE}R)",
         [
             {
                 "workers": entry["workers"],
@@ -83,7 +157,7 @@ def test_gentle_churn_is_boundary_only(deployment):
         deployment, tile_size=TILE_SIZE,
         churn_events=min(50, max(10, N // 2000)), seed=SEED,
     )
-    show(f"Boundary-only invalidation (n={N})", [report])
+    show(f"Boundary-only invalidation (n={deployment.num_nodes})", [report])
     assert report["churn_events"] > 0, "no edge-preserving interior moves found"
     assert report["tiles_cascaded"] == 0, (
         "gentle churn re-stitched tiles beyond the ones reading the "
@@ -99,7 +173,7 @@ def test_sharded_matches_global_backbone():
     from repro.shard.stitch import build_sharded
     from repro.wcds.algorithm2 import algorithm2_centralized
 
-    graph = jittered_grid(min(N, 4000), seed=SEED)
+    graph = _grid_deployment(min(N, 4000), seed=SEED)
     sharded = build_sharded(graph)
     oracle = algorithm2_centralized(graph)
     assert sharded.dominators == oracle.dominators

@@ -1,6 +1,6 @@
 """Baseline algorithms the paper compares against (or that its claims
 imply as comparators): greedy WCDS, greedy CDS, localized marking CDS,
-MIS-tree CDS, and exact optima for small instances."""
+and MIS-tree CDS.  Exact optima live in :mod:`repro.opt`."""
 
 from repro.baselines.chen_liestman import greedy_wcds
 from repro.baselines.guha_khuller import greedy_cds
@@ -14,12 +14,6 @@ from repro.baselines.geometric_spanners import (
     gabriel_graph,
     relative_neighborhood_graph,
 )
-from repro.baselines.exact import (
-    certify_wcds_optimality,
-    exact_minimum_cds,
-    exact_minimum_dominating_set,
-    exact_minimum_wcds,
-)
 
 __all__ = [
     "greedy_wcds",
@@ -30,8 +24,4 @@ __all__ = [
     "mis_tree_cds",
     "gabriel_graph",
     "relative_neighborhood_graph",
-    "certify_wcds_optimality",
-    "exact_minimum_cds",
-    "exact_minimum_dominating_set",
-    "exact_minimum_wcds",
 ]

@@ -12,7 +12,6 @@ Usage (installed as ``repro``, or ``python -m repro.cli``):
     repro experiment --all --markdown results.md  # full measured report
     repro figures    --outdir figures             # regenerate the figures
     repro serve      --requests trace.jsonl       # replay through the service
-    repro service-bench --nodes 500               # cached vs rebuild-per-query
     repro obs-report --algorithm 1                # message costs vs Theorem 12
     repro obs-report --fleet 2                    # cross-process telemetry smoke
     repro slo --slo-latency route:0.05:0.99       # burn-rate verdict
@@ -34,11 +33,12 @@ invocations.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
 from repro.analysis import print_table
-from repro.graphs import connected_random_udg, graph_stats
+from repro.graphs import connected_random_udg, graph_stats, perturbed_grid_udg
 from repro.routing import ClusterheadRouter, backbone_broadcast, blind_flood
 
 
@@ -538,7 +538,7 @@ def cmd_serve(args) -> int:
         print(
             "note: --shards enables tiled maintenance here; the "
             "multiprocessing serve pool itself is measured by "
-            "`repro shard-bench`."
+            "benchmarks/bench_shard_scaling.py."
         )
     if args.requests:
         try:
@@ -601,118 +601,6 @@ def cmd_serve(args) -> int:
     return 1 if slo_failed else 0
 
 
-def cmd_service_bench(args) -> int:
-    import json
-    import time
-
-    from repro.routing import ClusterheadRouter
-    from repro.service import BackboneService, WorkloadConfig, WorkloadGenerator
-    from repro.wcds import algorithm2_centralized
-
-    graph = _build(args)
-    generator = WorkloadGenerator(
-        sorted(graph.nodes(), key=repr),
-        WorkloadConfig(queries=args.queries, mix=(("route", 1.0),), seed=args.seed),
-    )
-    queries = [(r.src, r.dst) for r in generator.requests()]
-
-    service = BackboneService(graph.copy())
-    started = time.perf_counter()
-    for src, dst in queries:
-        response = service.route(src, dst)
-        assert response.ok, response.error
-    cached_seconds = time.perf_counter() - started
-
-    # Baseline: what every CLI invocation does today — rebuild the
-    # backbone and tables for each query (a sample; it is slow).
-    sample = queries[: min(len(queries), args.baseline_queries)]
-    started = time.perf_counter()
-    for src, dst in sample:
-        result = algorithm2_centralized(graph)
-        router = ClusterheadRouter(graph, result)
-        router.route(src, dst)
-    rebuild_seconds = time.perf_counter() - started
-
-    cached_per_query = cached_seconds / len(queries)
-    rebuild_per_query = rebuild_seconds / len(sample)
-    speedup = rebuild_per_query / cached_per_query if cached_per_query else 0.0
-    print_table(
-        [
-            {
-                "path": "service (cached)",
-                "queries": len(queries),
-                "qps": 1.0 / cached_per_query if cached_per_query else 0.0,
-                "per_query_ms": cached_per_query * 1e3,
-            },
-            {
-                "path": "rebuild per query",
-                "queries": len(sample),
-                "qps": 1.0 / rebuild_per_query if rebuild_per_query else 0.0,
-                "per_query_ms": rebuild_per_query * 1e3,
-            },
-        ],
-        title=f"Service throughput (n={graph.num_nodes}, speedup {speedup:.1f}x)",
-    )
-    print(json.dumps(
-        {
-            "speedup": round(speedup, 2),
-            "cached_qps": round(1.0 / cached_per_query, 2),
-            "rebuild_qps": round(1.0 / rebuild_per_query, 2),
-            "metrics": service.metrics.snapshot(),
-        },
-        indent=2,
-    ))
-    return 0
-
-
-def cmd_shard_bench(args) -> int:
-    import json
-
-    from repro.shard.bench import run_scaling_bench
-
-    workers = tuple(int(w) for w in args.workers.split(","))
-    report = run_scaling_bench(
-        args.nodes,
-        workers=workers,
-        tile_size=args.tile_size,
-        queries=args.queries,
-        churn_events=args.churn,
-        seed=args.seed,
-        baseline=args.baseline,
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-        return 0
-    print_table(
-        [
-            {
-                "workers": entry["workers"],
-                "tiles": entry["tiles"],
-                "queries": entry["queries"],
-                "qps": round(entry["throughput_qps"], 1),
-                "build_s": round(entry["build_seconds"], 2),
-            }
-            for entry in report["pools"]
-        ],
-        title=f"Shard serve throughput (n={report['n']}, "
-        f"tile={report['tile_size']}R)",
-    )
-    inv = report["invalidation"]
-    print_table(
-        [inv],
-        title="Boundary-only invalidation under gentle churn",
-    )
-    if "scaling_2_vs_1" in report:
-        print(f"2-worker vs 1-worker scaling: {report['scaling_2_vs_1']:.2f}x")
-    if "global_baseline" in report:
-        base = report["global_baseline"]
-        print(
-            f"global single-process service: {base['throughput_qps']:.1f} qps "
-            f"(pool best is {report.get('speedup_vs_global', 0):.1f}x)"
-        )
-    return 0
-
-
 def _cmd_obs_fleet(args) -> int:
     """obs-report --fleet: drive the cross-process telemetry pipeline.
 
@@ -727,7 +615,6 @@ def _cmd_obs_fleet(args) -> int:
     from repro.faults import default_fault_plan, run_chaos
     from repro.obs import MetricsRegistry
     from repro.shard import ShardConfig, ShardServePool
-    from repro.shard.bench import jittered_grid
 
     recorder = _arm_flight_recorder(args, process="fleet")
     failures = []
@@ -738,7 +625,10 @@ def _cmd_obs_fleet(args) -> int:
     if not chaos.valid:
         failures.append("chaos smoke produced an invalid backbone")
 
-    graph = jittered_grid(args.fleet_nodes, seed=args.seed)
+    side = math.isqrt(args.fleet_nodes)
+    graph = perturbed_grid_udg(
+        side, side, spacing=0.55, jitter=0.1 * 0.55, seed=args.seed
+    )
     registry = MetricsRegistry()
     pool = ShardServePool(
         graph,
@@ -1323,37 +1213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slo)
 
     p = sub.add_parser(
-        "service-bench", help="service throughput: cached vs rebuild-per-query"
-    )
-    _add_topology_args(p)
-    p.add_argument("--queries", type=int, default=300,
-                   help="route queries through the cached service")
-    p.add_argument("--baseline-queries", type=int, default=15,
-                   help="route queries through the rebuild-per-query baseline")
-    p.set_defaults(func=cmd_service_bench)
-
-    p = sub.add_parser(
-        "shard-bench",
-        help="sharded serving: pool throughput scaling and "
-        "boundary-only invalidation",
-    )
-    p.add_argument("--nodes", type=int, default=10000,
-                   help="deployment size (jittered grid, connected)")
-    p.add_argument("--tile-size", type=float, default=12.0,
-                   help="tile side in radio-radius units")
-    p.add_argument("--workers", default="1,2",
-                   help="comma list of pool widths to measure")
-    p.add_argument("--queries", type=int, default=3000,
-                   help="route queries per pool width")
-    p.add_argument("--churn", type=int, default=30,
-                   help="gentle churn events for the invalidation profile")
-    p.add_argument("--seed", type=int, default=0, help="deployment seed")
-    p.add_argument("--baseline", action="store_true",
-                   help="also measure the global single-process service")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_shard_bench)
-
-    p = sub.add_parser(
         "obs-report",
         help="measure per-phase message costs against the Theorem 12 "
         "envelopes (exit 1 on violation)",
@@ -1369,7 +1228,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "serve pool with cross-process harvest under a chaos "
                    "smoke and verify merged counters + stitched traces")
     p.add_argument("--fleet-nodes", type=int, default=400,
-                   help="deployment size of the --fleet pool")
+                   help="deployment size of the --fleet pool (a jittered "
+                   "square grid: rounded down to a square)")
     p.add_argument("--trace-out", metavar="FILE",
                    help="with --fleet: write the stitched trace JSONL here")
     p.add_argument("--flight-dump", metavar="FILE",

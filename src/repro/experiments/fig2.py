@@ -6,9 +6,9 @@ network — the relaxation that makes |MWCDS| ≤ |MCDS|.
 
 from __future__ import annotations
 
-from repro.baselines import exact_minimum_cds, exact_minimum_wcds
 from repro.experiments.base import Rows, checker, register
 from repro.graphs import connected_random_udg, paper_figure2_udg
+from repro.opt.exact import opt_minimum_cds, opt_minimum_wcds
 from repro.wcds import is_weakly_connected_dominating_set, weakly_induced_subgraph
 
 
@@ -50,8 +50,8 @@ def run_mwcds_vs_mcds() -> Rows:
     strictly_smaller = 0
     for seed in range(10):
         g = connected_random_udg(12, 2.6, seed=seed)
-        mwcds = len(exact_minimum_wcds(g))
-        mcds = len(exact_minimum_cds(g))
+        mwcds = len(opt_minimum_wcds(g))
+        mcds = len(opt_minimum_cds(g))
         strictly_smaller += mwcds < mcds
         rows.append({"seed": seed, "n": 12, "MWCDS": mwcds, "MCDS": mcds})
     rows.append(

@@ -9,7 +9,6 @@ T11: Algorithm II's spanner dilation (hop ≤ 3h+2, length ≤ 6l+5).
 
 from __future__ import annotations
 
-from repro.baselines import exact_minimum_wcds
 from repro.experiments.base import Rows, checker, register
 from repro.graphs import (
     clustered_udg,
@@ -19,6 +18,7 @@ from repro.graphs import (
     line_udg,
 )
 from repro.mis import is_maximal_independent_set
+from repro.opt.exact import opt_minimum_wcds
 from repro.sim import SimConfig, UniformLatency
 from repro.spanner import classify_black_edges, measure_dilation, sampled_dilation
 from repro.wcds import (
@@ -91,7 +91,7 @@ def run_lemma7() -> Rows:
     for seed in range(12):
         g = connected_random_udg(14, 2.9, seed=seed)
         alg1 = algorithm1_centralized(g).size
-        opt = len(exact_minimum_wcds(g))
+        opt = len(opt_minimum_wcds(g))
         ratio = alg1 / opt
         worst = max(worst, ratio)
         rows.append({"seed": seed, "n": 14, "alg1": alg1, "opt": opt, "ratio": ratio})

@@ -4,13 +4,13 @@ The paper proves Algorithm I within 5·opt (Theorem 5) and Algorithm II
 within 240·opt (Theorem 10) — worst-case envelopes, not measurements.
 This package supplies the missing denominator:
 
-* **LP-strengthened exact search** (:mod:`repro.opt.exact`) — a bitset
-  branch & bound for minimum dominating set / WCDS / CDS whose
+* **LP-strengthened exact search** (:mod:`repro.opt.exact`) — the one
+  bitset branch & bound for minimum dominating set / WCDS / CDS, whose
   admissible pruning bounds include the fractional set-cover LP solved
-  by :mod:`scipy.optimize` (:mod:`repro.opt.lp`), pushing certified
-  optima from the n ≈ 18 of :mod:`repro.baselines.exact` to n ≈ 60 on
-  the benchmark densities.  The LP only *prunes* — results are
-  bit-identical with ``lp="on"`` and ``lp="off"``.
+  by :mod:`scipy.optimize` (:mod:`repro.opt.lp`), certifying optima to
+  n ≈ 60 on the benchmark densities.  The LP only *prunes* — results
+  are bit-identical with ``lp="on"`` and ``lp="off"``, and
+  ``lp="auto"`` skips it at n <= 18, where it costs more than it saves.
 * **Scalable heuristics** (:mod:`repro.opt.heuristics`) — vectorized
   greedy MWDS over the CSR layer, 2-hop packing lower bounds, and
   2-hop Steiner connection, sandwiching the optimum to n ≈ 2000+.
@@ -57,7 +57,6 @@ from repro.opt.lp import (
     lp_lower_bound,
 )
 from repro.opt.oracle import (
-    BASELINE_ORACLE_NODES,
     DEFAULT_EXACT_NODES,
     OptimalityCertificate,
     certified_optimum,
@@ -72,7 +71,6 @@ from repro.opt.ratio import (
 
 __all__ = [
     "AlgorithmRatios",
-    "BASELINE_ORACLE_NODES",
     "DEFAULT_EXACT_NODES",
     "HAVE_SCIPY",
     "LPUnavailableError",

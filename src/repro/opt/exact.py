@@ -1,9 +1,9 @@
 """LP-strengthened branch & bound for minimum MDS / WCDS / CDS.
 
-Same contract as :mod:`repro.baselines.exact` — iterative deepening
-over the target size ``k``, branching on the closed neighborhood of an
-undominated pivot — but engineered for n ≈ 60–100 on unit-disk graphs
-instead of n ≈ 18:
+Iterative deepening over the target size ``k``, branching on the
+closed neighborhood of an undominated pivot (one of its members must
+join any dominating set), engineered for n ≈ 60–100 on unit-disk
+graphs:
 
 * subsets are integer bitmasks (:mod:`repro.opt.bitset`), making node
   expansion and the transposition table an order of magnitude cheaper;
@@ -14,7 +14,7 @@ instead of n ≈ 18:
      each member needs its own new dominator;
   2. **coverage** — no remaining candidate covers more than
      ``max_v |N[v] ∩ undominated|`` nodes (the tightened form of the
-     baseline oracle's ``Δ+1`` bound);
+     global ``Δ+1`` bound);
   3. **connectivity** — with ``c >= 2`` weakly-induced components,
      every component needs a *new* node within reach (two hops for
      WCDS, one for CDS), one node touches at most ``t_max``
@@ -23,7 +23,9 @@ instead of n ≈ 18:
   4. **LP** — the fractional optimum of the restricted domination LP
      with component-touch rows (:mod:`repro.opt.lp`), solved at
      shallow depth and at deep nodes where the combinatorial bounds
-     are within one of pruning already;
+     are within one of pruning already.  ``lp="auto"`` skips it on
+     graphs of at most 18 nodes, where a solver call costs more than
+     it prunes;
 
 * once every node is dominated, glue candidates are restricted to the
   reach of the current selection — complete, because the square graph
@@ -32,8 +34,8 @@ instead of n ≈ 18:
 The pruning bounds never exclude a feasible completion and never
 reorder branching, so the returned set is **bit-identical** with and
 without LP pruning (and with scipy absent); only the node count
-changes.  :mod:`repro.baselines.exact` remains the independent
-exact-equality oracle for n <= 18.
+changes.  The tests check the sizes against a from-scratch subset
+enumeration that shares no code with this search.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ Node = Hashable
 #: The three covered problems, in oracle-hierarchy order:
 #: |MDS| <= |MWCDS| <= |MCDS|.
 PROBLEMS: Tuple[str, ...] = ("mds", "wcds", "cds")
+
+#: ``lp="auto"`` solves no LP on graphs of at most this many nodes:
+#: there the combinatorial bounds alone finish faster (about 15x on the
+#: n <= 18 corpus of the tests) than the solver calls pay back.
+_LP_AUTO_MIN_NODES = 18
 
 #: LP pruning fires whenever the search depth is at most this.
 _LP_SHALLOW_DEPTH = 2
@@ -177,10 +184,13 @@ def _solve(
     stats: Optional[SearchStats],
 ) -> Set[Node]:
     bitset_graph = BitsetGraph.from_graph(graph)
+    lp_enabled = resolve_lp(lp) and (
+        lp == "on" or bitset_graph.num_nodes > _LP_AUTO_MIN_NODES
+    )
     search = _Search(
         bitset_graph,
         problem,
-        lp_enabled=resolve_lp(lp),
+        lp_enabled=lp_enabled,
         node_limit=node_limit,
         stats=stats if stats is not None else SearchStats(),
     )

@@ -4,10 +4,8 @@
 allows and always returns an :class:`OptimalityCertificate` whose
 ``lower <= opt <= upper`` sandwich is *proven*, never estimated:
 
-* n <= :data:`BASELINE_ORACLE_NODES` — the combinatorial oracle in
-  :mod:`repro.baselines.exact` (independent of every bound here);
-* n <= ``exact_nodes`` — the LP-strengthened branch & bound of
-  :mod:`repro.opt.exact`;
+* n <= ``exact_nodes`` — the branch & bound of :mod:`repro.opt.exact`
+  (LP-strengthened above 18 nodes);
 * beyond — the sandwich: ``max(2-hop packing, ceil(LP root))`` below,
   the greedy-MWDS / 2-hop-Steiner heuristics above.
 
@@ -38,11 +36,6 @@ from repro.opt.heuristics import (
 from repro.opt.lp import lp_domination_bound, lp_lower_bound
 
 Node = Hashable
-
-#: Below this size the pure combinatorial oracle of
-#: ``repro.baselines.exact`` is used — it is the independent
-#: exact-equality reference the LP engine is validated against.
-BASELINE_ORACLE_NODES = 18
 
 #: Default exact-oracle ceiling for the LP-pruned branch & bound.
 DEFAULT_EXACT_NODES = 60
@@ -137,18 +130,6 @@ def _certify(
     node_limit: Optional[int],
 ) -> OptimalityCertificate:
     n = graph.num_nodes
-    if n <= BASELINE_ORACLE_NODES:
-        witness = _baseline_exact(graph, problem)
-        return OptimalityCertificate(
-            problem=problem,
-            num_nodes=n,
-            lower=len(witness),
-            upper=len(witness),
-            method="baseline-bb",
-            witness=frozenset(witness),
-            lower_method="baseline-bb",
-            upper_method="baseline-bb",
-        )
     if n <= exact_nodes:
         stats = SearchStats()
         try:
@@ -212,20 +193,6 @@ def _sandwich(
         upper_method=upper_method,
         stats=stats,
     )
-
-
-def _baseline_exact(graph: Graph, problem: str) -> "set[Node]":
-    from repro.baselines.exact import (
-        exact_minimum_cds,
-        exact_minimum_dominating_set,
-        exact_minimum_wcds,
-    )
-
-    if problem == "mds":
-        return exact_minimum_dominating_set(graph)
-    if problem == "wcds":
-        return exact_minimum_wcds(graph)
-    return exact_minimum_cds(graph)
 
 
 def _record(registry: Any, certificate: OptimalityCertificate) -> None:

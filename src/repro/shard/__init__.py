@@ -14,8 +14,9 @@ subpackage operationalizes that:
 * :class:`~repro.shard.pool.ShardServePool` — serve the stitched
   backbone from per-tile replicas, in-process or across a
   ``spawn`` worker pool over shared-memory positions;
-* :mod:`~repro.shard.bench` — the scaling harness behind
-  ``benchmarks/bench_shard_scaling.py`` and ``repro shard-bench``.
+* :func:`~repro.shard.stitch.gentle_moves` — the edge-preserving
+  interior churn under which invalidation must stay boundary-only
+  (timed by ``benchmarks/bench_shard_scaling.py``).
 """
 
 from repro.shard.config import MIN_HALO_RADII, ShardConfig
@@ -26,6 +27,7 @@ from repro.shard.stitch import (
     InvalidationReport,
     ShardedBackbone,
     build_sharded,
+    gentle_moves,
 )
 from repro.shard.tiler import TileId, Tiler
 
@@ -40,4 +42,5 @@ __all__ = [
     "TileId",
     "Tiler",
     "build_sharded",
+    "gentle_moves",
 ]

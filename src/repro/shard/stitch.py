@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from repro.geometry.point import Point
 from repro.graphs.graph import Graph, canonical_order
@@ -452,3 +452,77 @@ def build_sharded(
     return ShardedBackbone(
         graph, config, registry=registry, tracer=tracer
     ).result()
+
+
+def gentle_moves(
+    graph: UnitDiskGraph, tiler: Tiler, seed: int, count: int
+) -> Iterator[Tuple[Node, Point]]:
+    """Gentle churn: up to ``count`` small edge-preserving displacements
+    of tile-interior nodes (at least one halo width away from every
+    tile boundary).
+
+    Gentle means topologically silent — the common case for mobile
+    nodes between connectivity events.  Such moves must stay inside
+    the tiles that read the moved node; any larger blast radius is an
+    invalidation bug.  Moves that do flip edges may legitimately
+    ripple further (the stitched result must track the global
+    construction), so they are never drawn here.
+
+    Each move is checked against ``graph`` as it stands when the move
+    is yielded, so the caller may apply every move before drawing the
+    next one.
+    """
+    rng = random.Random(seed)
+    candidates = [
+        node
+        for tile in tiler.tiles()
+        for node in tiler.interior(tile)
+        if not tiler.consumers(node)
+    ]
+    if not candidates:
+        # Tiles narrower than two halo widths have no interior band;
+        # fall back to nodes read only by their owner, whose moves are
+        # single-tile events just the same.
+        candidates = [
+            node
+            for node in canonical_order(graph.positions)
+            if not tiler.consumers(node)
+        ]
+    if not candidates:
+        return
+    amplitude = 0.05 * graph.radius
+    drawn = 0
+    for _ in range(count * 50):
+        if drawn == count:
+            return
+        node = candidates[rng.randrange(len(candidates))]
+        pos = graph.positions[node]
+        target = Point(
+            pos.x + rng.uniform(-amplitude, amplitude),
+            pos.y + rng.uniform(-amplitude, amplitude),
+        )
+        if _edge_preserving(graph, node, target, amplitude):
+            drawn += 1
+            yield node, target
+
+
+def _edge_preserving(
+    graph: UnitDiskGraph, node: Node, target: Point, amplitude: float
+) -> bool:
+    """True when moving ``node`` to ``target`` flips no unit-disk edge.
+
+    Only nodes within ``radius + 2 * amplitude`` of the current
+    position can cross the threshold (a jitter of ``amplitude`` per
+    axis moves the node less than that), so the check is O(local
+    density).
+    """
+    pos = graph.positions[node]
+    for w in graph.nodes_within(pos, graph.radius + 2.0 * amplitude):
+        if w == node:
+            continue
+        other = graph.positions[w]
+        before = pos.distance_to(other) <= graph.radius
+        after = target.distance_to(other) <= graph.radius
+        if before != after:
+            return False
+    return True

@@ -10,6 +10,7 @@ from repro.mis import (
     is_maximal_independent_set,
     max_mis_neighbors,
 )
+from repro.opt import opt_minimum_wcds
 from repro.sim import SimConfig, UniformLatency
 from repro.spanner import classify_black_edges
 from repro.wcds import (
@@ -18,7 +19,6 @@ from repro.wcds import (
     bounds,
     is_weakly_connected_dominating_set,
 )
-from repro.baselines import exact_minimum_wcds
 
 from tutils import dense_connected_udg, seeds
 
@@ -130,7 +130,7 @@ class TestLemma7Ratio:
     def test_size_within_5x_optimum(self, seed):
         g = dense_connected_udg(12, seed)
         result = algorithm1_centralized(g)
-        opt = len(exact_minimum_wcds(g))
+        opt = len(opt_minimum_wcds(g))
         assert result.size <= bounds.algorithm1_size_bound(opt)
 
 

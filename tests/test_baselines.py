@@ -1,5 +1,6 @@
 """Tests for baseline algorithms: greedy WCDS, greedy CDS, Wu-Li
-marking, MIS-tree CDS, and the exact branch & bound."""
+marking, MIS-tree CDS, and the known optima of small graphs under the
+exact branch & bound of ``repro.opt``."""
 
 import itertools
 
@@ -7,10 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines import (
-    certify_wcds_optimality,
-    exact_minimum_cds,
-    exact_minimum_dominating_set,
-    exact_minimum_wcds,
     greedy_cds,
     greedy_wcds,
     mis_tree_cds,
@@ -18,6 +15,12 @@ from repro.baselines import (
 )
 from repro.graphs import Graph, grid_udg, is_connected, line_udg
 from repro.mis import is_dominating_set
+from repro.opt import (
+    certified_optimum,
+    opt_minimum_cds,
+    opt_minimum_dominating_set,
+    opt_minimum_wcds,
+)
 from repro.wcds import is_weakly_connected_dominating_set
 
 from tutils import dense_connected_udg, seeds
@@ -51,7 +54,7 @@ class TestGreedyWcds:
     def test_near_optimal_on_small_instances(self, seed):
         g = dense_connected_udg(12, seed)
         greedy = greedy_wcds(g).size
-        opt = len(exact_minimum_wcds(g))
+        opt = len(opt_minimum_wcds(g))
         assert opt <= greedy <= 3 * opt  # ln(Delta) slack, generous
 
 
@@ -129,19 +132,19 @@ class TestExactSolvers:
     def test_path_optima(self, path_graph):
         # P5: MDS = {1, 3}; the minimum WCDS is also size 2 ({1, 3}: its
         # black edges cover the whole path); MCDS = {1, 2, 3}.
-        assert len(exact_minimum_dominating_set(path_graph)) == 2
-        assert len(exact_minimum_wcds(path_graph)) == 2
-        assert len(exact_minimum_cds(path_graph)) == 3
+        assert len(opt_minimum_dominating_set(path_graph)) == 2
+        assert len(opt_minimum_wcds(path_graph)) == 2
+        assert len(opt_minimum_cds(path_graph)) == 3
 
     def test_star_optima(self, star_graph):
-        assert len(exact_minimum_dominating_set(star_graph)) == 1
-        assert len(exact_minimum_wcds(star_graph)) == 1
-        assert len(exact_minimum_cds(star_graph)) == 1
+        assert len(opt_minimum_dominating_set(star_graph)) == 1
+        assert len(opt_minimum_wcds(star_graph)) == 1
+        assert len(opt_minimum_cds(star_graph)) == 1
 
     def test_results_are_valid(self, path_graph):
-        wcds = exact_minimum_wcds(path_graph)
+        wcds = opt_minimum_wcds(path_graph)
         assert is_weakly_connected_dominating_set(path_graph, wcds)
-        cds = exact_minimum_cds(path_graph)
+        cds = opt_minimum_cds(path_graph)
         assert is_dominating_set(path_graph, cds)
         assert is_connected(path_graph.subgraph(cds))
 
@@ -151,16 +154,16 @@ class TestExactSolvers:
         # |MDS| <= |MWCDS| <= |MCDS| (each feasible set of the right is
         # feasible on the left).
         g = dense_connected_udg(11, seed)
-        mds = len(exact_minimum_dominating_set(g))
-        mwcds = len(exact_minimum_wcds(g))
-        mcds = len(exact_minimum_cds(g))
+        mds = len(opt_minimum_dominating_set(g))
+        mwcds = len(opt_minimum_wcds(g))
+        mcds = len(opt_minimum_cds(g))
         assert mds <= mwcds <= mcds
 
     @given(seeds)
     @settings(max_examples=4, deadline=None)
     def test_matches_brute_force_on_tiny_graphs(self, seed):
         g = dense_connected_udg(8, seed)
-        opt = len(exact_minimum_wcds(g))
+        opt = len(opt_minimum_wcds(g))
         # Brute force over all subsets.
         nodes = sorted(g.nodes())
         brute = None
@@ -174,20 +177,20 @@ class TestExactSolvers:
         assert opt == brute
 
     def test_certify_optimality(self, path_graph):
-        assert certify_wcds_optimality(path_graph, 2)
-        assert not certify_wcds_optimality(path_graph, 3)
+        cert = certified_optimum(path_graph, "wcds")
+        assert cert.certified and cert.optimum == 2
 
     def test_max_size_cap(self, path_graph):
         with pytest.raises(RuntimeError):
-            exact_minimum_wcds(path_graph, max_size=1)
+            opt_minimum_wcds(path_graph, max_size=1)
 
     def test_grid_wcds_smaller_than_cds(self):
         g = grid_udg(3, 3, spacing=0.9)
-        assert len(exact_minimum_wcds(g)) <= len(exact_minimum_cds(g))
+        assert len(opt_minimum_wcds(g)) <= len(opt_minimum_cds(g))
 
     def test_chain_wcds_half_of_cds(self):
         # On a path P_n the MCDS is the n-2 interior nodes while a WCDS
         # can skip every other one — the cleanest size separation.
         g = line_udg(9)
-        assert len(exact_minimum_cds(g)) == 7
-        assert len(exact_minimum_wcds(g)) <= 4
+        assert len(opt_minimum_cds(g)) == 7
+        assert len(opt_minimum_wcds(g)) <= 4

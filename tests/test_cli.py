@@ -235,21 +235,6 @@ class TestCommands:
         assert '"counters"' in out  # metrics JSON on stdout
         assert written > 40  # queries plus churn markers
 
-    def test_service_bench(self, capsys):
-        code, out = self._run(
-            [
-                "service-bench", "--nodes", "40", "--side", "4.5",
-                "--queries", "30", "--baseline-queries", "2",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "service (cached)" in out and "rebuild per query" in out
-        import json
-
-        payload = json.loads(out[out.index("{"):])
-        assert payload["speedup"] > 1.0
-
     def test_figures(self, capsys, tmp_path):
         outdir = str(tmp_path / "figs")
         code, out = self._run(

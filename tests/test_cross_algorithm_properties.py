@@ -11,9 +11,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines import (
-    exact_minimum_cds,
-    exact_minimum_dominating_set,
-    exact_minimum_wcds,
     gabriel_graph,
     greedy_cds,
     greedy_wcds,
@@ -27,6 +24,11 @@ from repro.mis import (
     greedy_mis,
     is_dominating_set,
     is_independent_set,
+)
+from repro.opt import (
+    opt_minimum_cds,
+    opt_minimum_dominating_set,
+    opt_minimum_wcds,
 )
 from repro.spanner import measure_dilation
 from repro.wcds import (
@@ -73,9 +75,9 @@ class TestSizeRelations:
     @settings(max_examples=6, deadline=None)
     def test_exact_sandwich_and_approximations(self, seed):
         g = dense_connected_udg(12, seed)
-        mds = len(exact_minimum_dominating_set(g))
-        mwcds = len(exact_minimum_wcds(g))
-        mcds = len(exact_minimum_cds(g))
+        mds = len(opt_minimum_dominating_set(g))
+        mwcds = len(opt_minimum_wcds(g))
+        mcds = len(opt_minimum_cds(g))
         assert mds <= mwcds <= mcds
         # Every construction respects its own bound against opt.
         assert algorithm1_centralized(g).size <= bounds.algorithm1_size_bound(mwcds)

@@ -23,8 +23,9 @@ from repro import (
     measure_dilation,
     sparsity_report,
 )
-from repro.baselines import exact_minimum_wcds, greedy_cds, greedy_wcds
+from repro.baselines import greedy_cds, greedy_wcds
 from repro.graphs import hop_distance
+from repro.opt import opt_minimum_wcds
 from repro.wcds import bounds
 
 
@@ -90,7 +91,7 @@ class TestFullPipeline:
 class TestSmallInstanceOptimality:
     def test_ratios_against_exact(self):
         g = connected_random_udg(13, 2.6, seed=21)
-        opt = len(exact_minimum_wcds(g))
+        opt = len(opt_minimum_wcds(g))
         alg1 = algorithm1_distributed(g).size
         alg2 = algorithm2_distributed(g).size
         greedy = greedy_wcds(g).size

@@ -1,11 +1,10 @@
 """The optimality-oracle stack: LP-pruned exact search, heuristics,
-certificates, and the satellite fixes in the baseline oracle.
+and certificates.
 
-The exact engine is cross-validated three ways: against itself with LP
-pruning on vs off (bit-identical sets, not just sizes), against the
-independent combinatorial oracle of ``repro.baselines.exact``, and
-against a from-scratch brute force over subsets on tiny hypothesis
-graphs.
+The exact engine is cross-validated two ways: against itself with LP
+pruning on vs off (bit-identical sets, not just sizes), and against a
+from-scratch enumeration of subsets — sharing no code with the branch
+& bound — on tiny hypothesis graphs and on the n <= 18 corpus.
 """
 
 import itertools
@@ -16,12 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.opt._scipy as opt_scipy
-from repro.baselines.exact import (
-    certify_wcds_optimality,
-    exact_minimum_cds,
-    exact_minimum_dominating_set,
-    exact_minimum_wcds,
-)
 from repro.baselines.mis_cds import mis_tree_cds
 from repro.graphs import Graph, connected_random_udg
 from repro.graphs.traversal import is_connected
@@ -106,19 +99,23 @@ class TestExactEngine:
         assert len(on) == brute
 
     def test_bit_identical_and_equal_to_baseline_oracle_on_corpus(self):
-        # The n <= 18 corpus of the acceptance criteria: the LP-pruned
-        # engine must agree with the independent baseline oracle, and
-        # its own result must not depend on whether the LP ran.
+        # The n <= 18 corpus: the engine's sizes must equal a subset
+        # enumeration under the repo's own feasibility predicates, and
+        # its result must not depend on whether the LP ran.
         for g in _corpus():
-            for problem, baseline in (
-                ("mds", exact_minimum_dominating_set),
-                ("wcds", exact_minimum_wcds),
-                ("cds", exact_minimum_cds),
+            for problem, feasible in (
+                ("mds", lambda s: is_dominating_set(g, s)),
+                ("wcds", lambda s: is_weakly_connected_dominating_set(g, s)),
+                (
+                    "cds",
+                    lambda s: is_dominating_set(g, s)
+                    and is_connected(g.subgraph(s)),
+                ),
             ):
                 on = opt_minimum(g, problem, lp="on")
                 off = opt_minimum(g, problem, lp="off")
                 assert on == off
-                assert len(on) == len(baseline(g))
+                assert len(on) == _brute_minimum(g, feasible)
 
     def test_oracle_hierarchy(self):
         g = connected_random_udg(18, 3.2, seed=9)
@@ -249,7 +246,8 @@ class TestHeuristics:
 
 class TestWithoutScipy:
     def test_auto_degrades_and_matches_lp_result(self, monkeypatch):
-        g = connected_random_udg(16, 3.2, seed=4)
+        # Above 18 nodes, where lp="auto" would otherwise solve LPs.
+        g = connected_random_udg(24, 3.5, seed=4)
         with_lp = opt_minimum_wcds(g, lp="on")
         monkeypatch.setattr(opt_scipy, "HAVE_SCIPY", False)
         stats = SearchStats()
@@ -278,56 +276,11 @@ class TestWithoutScipy:
             opt_minimum_dominating_set(g, lp="maybe")
 
 
-class TestCertifyWcdsOptimalityFix:
-    def test_nonpositive_size_raises(self):
-        g = connected_random_udg(10, 2.5, seed=0)
-        for size in (0, -1, -7):
-            with pytest.raises(ValueError):
-                certify_wcds_optimality(g, size)
-
-    def test_size_one_is_vacuously_certified(self):
-        g = connected_random_udg(10, 2.5, seed=0)
-        assert certify_wcds_optimality(g, 1)
-
-    def test_agrees_with_exact_optimum(self):
-        for seed in range(3):
-            g = connected_random_udg(12, 2.8, seed=seed)
-            opt = len(exact_minimum_wcds(g))
-            assert certify_wcds_optimality(g, opt)
-            if opt > 1:
-                assert not certify_wcds_optimality(g, opt + 1)
-
-
-class TestCoverageBoundRegression:
-    def test_baseline_optima_unchanged_on_seeded_corpus(self):
-        # The tightened coverage bound must only prune harder, never
-        # change the optimum: cross-check against the independent
-        # LP-engine result (lp off → fully combinatorial, different
-        # code path) on a fixed corpus.
-        for g in _corpus():
-            assert len(exact_minimum_dominating_set(g)) == len(
-                opt_minimum_dominating_set(g, lp="off")
-            )
-            assert len(exact_minimum_wcds(g)) == len(
-                opt_minimum_wcds(g, lp="off")
-            )
-
-
 class TestMixedNodeIdDeterminism:
     MIXED_EDGES = [
         ("a", 1), (1, 2), (2, "b"), ("b", 3), (3, "a"),
         (2, "c"), ("c", 4), (4, "b"),
     ]
-
-    def test_baseline_exact_handles_mixed_ids(self):
-        g = Graph(edges=self.MIXED_EDGES)
-        first = exact_minimum_wcds(g)
-        assert is_weakly_connected_dominating_set(g, first)
-        for _ in range(3):
-            assert exact_minimum_wcds(g) == first
-            assert exact_minimum_dominating_set(
-                g
-            ) == exact_minimum_dominating_set(g)
 
     def test_mis_tree_cds_connector_choice_is_canonical(self):
         # Mixed int/str ids stop upstream at the MIS ranking layer
@@ -349,12 +302,15 @@ class TestMixedNodeIdDeterminism:
 
 
 class TestCertificates:
-    def test_small_instances_use_the_baseline_oracle(self):
+    def test_small_instances_skip_the_lp(self):
+        # lp="auto" solves no LP at n <= 18, and the witness is the one
+        # the LP-pruned search returns.
         g = connected_random_udg(14, 3.0, seed=6)
         cert = certified_optimum(g, "wcds")
         assert cert.certified
-        assert cert.method == "baseline-bb"
-        assert cert.optimum == len(exact_minimum_wcds(g))
+        assert cert.method == "lp-bb"
+        assert cert.stats.lp_calls == 0
+        assert cert.witness == certified_optimum(g, "wcds", lp="on").witness
         assert is_weakly_connected_dominating_set(g, cert.witness)
 
     def test_midsize_instances_use_the_lp_engine(self):

@@ -98,7 +98,7 @@ class TestExactSolverOracle:
     @given(edge_lists)
     @settings(max_examples=10, deadline=None)
     def test_exact_wcds_matches_exhaustive_search(self, edges):
-        from repro.baselines import exact_minimum_wcds
+        from repro.opt import opt_minimum_wcds
 
         g = _connected_graph(edges)
         if g.num_nodes > 9:
@@ -106,7 +106,7 @@ class TestExactSolverOracle:
             g = _connected_graph(list(g.edges())) if g.num_edges else g
         if g.num_nodes < 2:
             return
-        opt = len(exact_minimum_wcds(g))
+        opt = len(opt_minimum_wcds(g))
         nodes = sorted(g.nodes())
         brute = next(
             k

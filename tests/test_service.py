@@ -500,9 +500,11 @@ class TestShardedService:
 
     @pytest.fixture()
     def grid(self):
-        from repro.shard.bench import jittered_grid
+        from repro.graphs import perturbed_grid_udg
 
-        return jittered_grid(900, seed=4)
+        return perturbed_grid_udg(
+            30, 30, spacing=0.55, jitter=0.1 * 0.55, seed=4
+        )
 
     @pytest.fixture()
     def sharded(self, grid):

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.graphs import connected_random_udg
+from repro.graphs import connected_random_udg, perturbed_grid_udg
 from repro.shard import MIN_HALO_RADII, ShardConfig, ShardedBackbone, Tiler, build_sharded
-from repro.shard.bench import jittered_grid
 from repro.wcds.algorithm2 import algorithm2_centralized
 
 
@@ -156,7 +155,7 @@ class TestStitchOracle:
     def test_interior_membership_equals_oracle(self):
         # The ISSUE's oracle clause, asserted directly: every
         # tile-interior node agrees with the global construction.
-        graph = jittered_grid(900, seed=5)
+        graph = perturbed_grid_udg(30, 30, spacing=0.55, jitter=0.1 * 0.55, seed=5)
         backbone = ShardedBackbone(graph, ShardConfig(tile_size=8.0))
         oracle = algorithm2_centralized(graph)
         checked = 0

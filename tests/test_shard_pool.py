@@ -17,8 +17,8 @@ import random
 import pytest
 
 from repro.geometry.point import Point
-from repro.shard import ShardConfig, SharedPositions, ShardServePool
-from repro.shard.bench import jittered_grid
+from repro.graphs import perturbed_grid_udg
+from repro.shard import ShardConfig, SharedPositions, ShardServePool, gentle_moves
 from repro.sim.config import SimConfig
 
 
@@ -87,7 +87,7 @@ class TestSharedPositions:
 
 @pytest.fixture(scope="module")
 def deployment():
-    return jittered_grid(900, seed=7)
+    return perturbed_grid_udg(30, 30, spacing=0.55, jitter=0.1 * 0.55, seed=7)
 
 
 def _mixed_queries(pool, count, seed):
@@ -139,17 +139,22 @@ class TestPoolEquivalence:
 
 class TestPoolChurn:
     def test_gentle_interior_churn_is_boundary_only(self, deployment):
-        from repro.shard.bench import bench_invalidation
-
-        report = bench_invalidation(
-            deployment.copy(), tile_size=8.0, churn_events=8, seed=2
-        )
-        assert report["churn_events"] > 0
-        assert report["tiles_cascaded"] == 0
-        assert report["boundary_only"] is True
+        with ShardServePool(
+            deployment.copy(), ShardConfig(tile_size=8.0, workers=0)
+        ) as pool:
+            tiles = len(pool.tiler.tiles())
+            reports = [
+                pool.move(node, target)
+                for node, target in gentle_moves(
+                    pool.graph, pool.tiler, seed=2, count=8
+                )
+            ]
+        assert reports
+        assert all(not report.cascaded for report in reports)
         # every event stayed within the tiles reading the moved node
-        assert report["max_tiles_rebuilt_per_event"] <= 4
-        assert report["tiles_rebuilt"] < report["tiles"] * report["churn_events"]
+        assert max(len(report.rebuilt) for report in reports) <= 4
+        rebuilt = sum(len(report.rebuilt) for report in reports)
+        assert rebuilt < tiles * len(reports)
 
     def test_worker_replicas_refresh_after_move(self, deployment):
         graph = deployment.copy()
